@@ -2,10 +2,16 @@
 
 The pipeline embeds the observational joint and the interventional marginals
 as equality constraints over the model's product space, maximizes the mass the
-embedded distribution places on the model support by linear programming, and
-re-weights the optimum onto the support. The lost mass determines the global
-approximation error; the divergence between the observed-variable marginals
-before and after re-weighting is the local approximation error.
+embedded distribution places on the model support, and re-weights the optimum
+onto the support. The lost mass determines the global approximation error; the
+divergence between the observed-variable marginals before and after
+re-weighting is the local approximation error.
+
+The plain cause -> effect models (``x_to_y``, ``y_to_x``) are projected in
+closed form: the optimum is a maximal coupling of each interventional copy
+with its row of the observational joint, and the copies are glued
+conditionally independent given the observed cell. Every other variant is
+projected by linear programming over the embedded space.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ ErrorMode = Literal["global", "local"]
 DEGENERATE_MASS = 1e-12
 
 MAX_BIVARIATE_RANGE = 4
+
+# Variants whose optimum is the maximal coupling, projected without an LP.
+_CLOSED_FORM = {ModelVariant.X_TO_Y, ModelVariant.Y_TO_X}
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,9 @@ class TrivariateInputs:
 class ApproximationResult:
     """Projection outcome for one model variant.
 
-    ``s_value`` is the LP objective at the optimum (equal to the support mass
+    ``p_hat`` is the optimum over the full embedded space: the glued maximal
+    coupling for the plain cause -> effect variants, the LP vertex otherwise.
+    ``s_value`` is the objective at the optimum (equal to the support mass
     for plain variants, possibly larger for the reweighted ANM objectives).
     ``global_error`` is the relative entropy from the projection to the
     optimum, ``-log`` of the support mass; ``local_error`` is the divergence
@@ -222,6 +233,57 @@ def _as_generic(
     return joint, tuple(marginals)
 
 
+def _lp_optimum(
+    support: SupportSet,
+    joint: DiscreteDistribution,
+    marginals: Sequence[DiscreteDistribution],
+) -> DiscreteDistribution:
+    """Optimal vertex of the embedding LP under the support's objective."""
+    a = _constraint_rows(support.space)
+    c = _constraint_rhs(joint, marginals)
+    solution = solve(LpProblem(a, c, support.objective_coeffs))
+    if solution.status is LpStatus.INFEASIBLE:
+        raise InfeasibleConstraintsError(
+            "empirical marginals admit no joint distribution"
+        )
+    if solution.status is not LpStatus.OPTIMAL:
+        raise SolverFailureError(f"LP solver returned {solution.status.value}")
+    return DiscreteDistribution(support.shape, solution.p)
+
+
+def _maximal_coupling(
+    joint: DiscreteDistribution, marginals: Sequence[DiscreteDistribution]
+) -> tuple[DiscreteDistribution, np.ndarray]:
+    """Closed-form optimum of the plain cause -> effect projection.
+
+    No feasible point puts more than m(a, y) = min(P(a, y), P(y | do a)) on
+    the support at observed cell (a, y), and this point attains every bound
+    (Lindvall 1992). Given the observed cell, the copies are independent.
+    Copy a's kernel puts m_a on the diagonal of row a and couples the rest of
+    that row with the leftover q_a - m_a as a product divided by
+    1 - sum(m_a); every other row draws copy a from that leftover alone. The
+    product never lands on the support: where a row keeps mass, the copy has
+    none left at that value.
+
+    Returns the embedded optimum and the coupled mass m over (cause, effect).
+    """
+    p = joint.as_array()
+    q = np.stack([marg.mass for marg in marginals])
+    m = np.minimum(p, q)
+    b_cause, b_effect = p.shape
+    left = 1.0 - m.sum(axis=1, keepdims=True)
+    spread = np.divide(q - m, left, out=np.zeros_like(q), where=left > 0.0)
+    grid = np.ones((b_cause, b_effect) + (1,) * b_cause)
+    for a in range(b_cause):
+        # copy a given (cause, effect); row a also carries that row's mass
+        kernel = np.broadcast_to(spread[a], (b_cause, b_effect, b_effect)).copy()
+        kernel[a] = np.diag(m[a]) + np.outer(p[a] - m[a], spread[a])
+        axes = [b_cause, b_effect] + [1] * b_cause
+        axes[2 + a] = b_effect
+        grid = grid * kernel.reshape(axes)
+    return DiscreteDistribution(grid.shape, grid.reshape(-1)), m
+
+
 def approximate(
     inputs: EmpiricalInputs | TrivariateInputs,
     spec: CausalModelSpec,
@@ -229,10 +291,11 @@ def approximate(
 ) -> ApproximationResult:
     """Project empirical inputs onto a model's support set.
 
-    Builds the equality constraints from the inputs, maximizes the model
-    objective by linear programming, and re-weights the optimum onto the
-    support. Inputs are cause-first: for y-cause variants, build them from
-    column-swapped data.
+    The plain cause -> effect variants take the closed-form optimum of
+    :func:`_maximal_coupling`; every other variant builds the equality
+    constraints from the inputs and maximizes the model objective by linear
+    programming. The optimum is then re-weighted onto the support. Inputs are
+    cause-first: for y-cause variants, build them from column-swapped data.
 
     Raises:
         InfeasibleConstraintsError: the constraints admit no distribution
@@ -248,17 +311,10 @@ def approximate(
         _check_bivariate_ranges(sizes[0], sizes[1])
     joint, marginals = _as_generic(inputs, space)
 
-    a = _constraint_rows(space)
-    c = _constraint_rhs(joint, marginals)
-    solution = solve(LpProblem(a, c, support.objective_coeffs))
-    if solution.status is LpStatus.INFEASIBLE:
-        raise InfeasibleConstraintsError(
-            "empirical marginals admit no joint distribution"
-        )
-    if solution.status is not LpStatus.OPTIMAL:
-        raise SolverFailureError(f"LP solver returned {solution.status.value}")
-
-    p_hat = DiscreteDistribution(space.shape, solution.p)
+    if spec.variant in _CLOSED_FORM:
+        p_hat, coupled = _maximal_coupling(joint, marginals)
+    else:
+        p_hat, coupled = _lp_optimum(support, joint, marginals), None
     s_value = float(support.objective_coeffs @ p_hat.mass)
     support_mass = float(support.member_flags.astype(float) @ p_hat.mass)
     if support_mass < DEGENERATE_MASS:
@@ -274,10 +330,16 @@ def approximate(
         )
     tilde = np.where(support.member_flags, p_hat.mass, 0.0) / support_mass
     p_tilde = DiscreteDistribution(space.shape, tilde)
-    observed = space.observed_axes
-    local = kl_divergence(
-        marginalize(p_tilde, observed), marginalize(p_hat, observed)
-    )
+    if coupled is not None:
+        # the support holds exactly the coupled mass of each observed cell
+        local = kl_divergence(
+            DiscreteDistribution(joint.shape, coupled / support_mass), joint
+        )
+    else:
+        observed = space.observed_axes
+        local = kl_divergence(
+            marginalize(p_tilde, observed), marginalize(p_hat, observed)
+        )
     return ApproximationResult(
         model=spec,
         p_hat=p_hat,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -32,8 +33,6 @@ from .distributions import DiscreteDistribution, empirical_joint, empirical_marg
 from .exceptions import CausalApproxError, InsufficientDataError, UnsupportedModelError
 from .generate import run_benchmark
 from .models import CausalModelSpec, ModelVariant, model_space
-
-_Y_CAUSE_NAMES = {"y_to_x", "y_to_x_mono_inc", "y_to_x_mono_dec"}
 
 
 def _fmt(value) -> str:
@@ -282,7 +281,7 @@ def cmd_approx(args) -> int:
     else:
         xc = ensure_categories(x, b_x)
         yc = ensure_categories(y, b_y)
-        cause = "y" if args.model in _Y_CAUSE_NAMES else "x"
+        cause = model_space(spec).observed_names[0]
         split = _split_rows(
             xc, yc, env, PreprocessMode(args.preprocess), cause, args.seed
         )
@@ -346,13 +345,8 @@ def cmd_bench(args) -> int:
         sizes.append((int(parts[0]), int(parts[1])))
     methods = {"default": _discovery_config(args)}
     if args.anm:
-        methods["anm"] = DiscoveryConfig(
-            preprocess_mode=PreprocessMode(args.preprocess),
-            error_mode=args.error_mode,
-            epsilon=args.epsilon,
-            seed=args.seed,
-            alpha=args.alpha,
-            objectives="anm",
+        methods["anm"] = dataclasses.replace(
+            _discovery_config(args), objectives="anm"
         )
     report = run_benchmark(
         sizes,

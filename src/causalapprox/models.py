@@ -336,9 +336,7 @@ def build_support(spec: CausalModelSpec) -> SupportSet:
 
 def build_objective(spec: CausalModelSpec) -> np.ndarray:
     """LP objective coefficients for a model variant."""
-    space = model_space(spec)
-    flags = _member_flags(spec, space)
-    return _objective_from_flags(spec, space, flags)
+    return build_support(spec).objective_coeffs
 
 
 def _objective_from_flags(
