@@ -29,8 +29,8 @@ from .discovery import (
     EnvSplit,
     PreprocessMode,
     build_inputs,
+    direction_inputs,
     discover,
-    discover_from_splits,
     monotone_preferred,
     preprocess,
     split_by_environment,
@@ -68,10 +68,8 @@ from .models import (
     ModelSpace,
     ModelVariant,
     SupportSet,
-    build_objective,
     build_support,
     model_space,
-    swap_roles,
 )
 from .simplex import (
     FeasibilityReport,
@@ -118,12 +116,11 @@ __all__ = [
     "UnsupportedModelError",
     "approximate",
     "build_inputs",
-    "build_objective",
     "build_support",
     "calc_causal_probabilities",
     "create_constraint_matrix",
+    "direction_inputs",
     "discover",
-    "discover_from_splits",
     "discretize_equal_frequency",
     "empirical_joint",
     "empirical_marginal",
@@ -142,5 +139,4 @@ __all__ = [
     "shift_for_time_lag",
     "solve",
     "split_by_environment",
-    "swap_roles",
 ]

@@ -3,7 +3,10 @@
 Input is CSV with a header row. Columns are picked by name or 0-based index;
 an optional environment column (named ``env`` by default) marks rows as
 ``obs`` or ``do:<value>``, which bypasses the heuristic observational /
-interventional split. Reports print as an aligned table or as JSON.
+interventional split. ``discover``, ``causation`` and the bivariate models of
+``approx`` build their inputs through :func:`discovery.direction_inputs`, the
+ingest ``discover`` itself uses, so every command sees the same split of the
+same rows. Reports print as an aligned table or as JSON.
 """
 
 from __future__ import annotations
@@ -17,20 +20,18 @@ import sys
 
 import numpy as np
 
-from .approximation import EmpiricalInputs, TrivariateInputs, approximate, shift_for_time_lag
+from .approximation import TrivariateInputs, approximate, shift_for_time_lag
 from .causation import CausationReport, calc_causal_probabilities
 from .discovery import (
     DiscoveryConfig,
     DiscoveryVerdict,
     PreprocessMode,
-    build_inputs,
+    direction_inputs,
     discover,
     ensure_categories,
-    preprocess,
-    split_by_environment,
 )
 from .distributions import DiscreteDistribution, empirical_joint, empirical_marginal
-from .exceptions import CausalApproxError, InsufficientDataError, UnsupportedModelError
+from .exceptions import CausalApproxError, InsufficientDataError
 from .generate import run_benchmark
 from .models import CausalModelSpec, ModelVariant, model_space
 
@@ -156,8 +157,6 @@ def _discovery_config(args) -> DiscoveryConfig:
 
 def cmd_discover(args) -> int:
     x, y, env, _, _ = _load_xy(args)
-    if x.size < 4:
-        raise CliDataError("discovery needs at least 4 rows")
     b_x, b_y = _infer_b(x, y, args.bx, args.by)
     verdict = discover(x, y, b_x, b_y, _discovery_config(args), env=env)
     _emit(_verdict_payload(verdict), args.output)
@@ -176,12 +175,6 @@ def _verdict_payload(v: DiscoveryVerdict) -> dict:
     }
 
 
-def _split_rows(x, y, env, mode: PreprocessMode, cause: str, seed: int):
-    if env is not None:
-        return split_by_environment(x, y, env)
-    return preprocess(x, y, mode, cause, np.random.default_rng([seed, 0]))
-
-
 def cmd_causation(args) -> int:
     x, y, env, _, _ = _load_xy(args)
     b_x, b_y = _infer_b(x, y, args.bx, args.by)
@@ -190,12 +183,7 @@ def cmd_causation(args) -> int:
             "causal probabilities are defined for binary data only "
             "(pass --bx 2 --by 2 to discretize into two bins)"
         )
-    xc = ensure_categories(x, 2)
-    yc = ensure_categories(y, 2)
-    split = _split_rows(xc, yc, env, PreprocessMode(args.preprocess), "x", args.seed)
-    inputs = build_inputs(
-        split.obs_x, split.obs_y, split.int_x, split.int_y, 2, 2, args.alpha
-    )
+    inputs, _ = direction_inputs(x, y, 2, 2, _discovery_config(args), env)
     report = calc_causal_probabilities(inputs, args.error_mode)
     _emit(_causation_payload(report), args.output)
     return 0
@@ -238,7 +226,9 @@ def _trivariate_inputs(args, spec: CausalModelSpec, x, y, env, header, data):
         raise InsufficientDataError("no observational rows")
     obs_cols = [columns[name][obs_mask] for name in observed]
     sizes = {"x": spec.b_x, "y": spec.b_y, "z": spec.b_z}
-    joint = empirical_joint_nd(obs_cols, [sizes[n] for n in observed], args.alpha)
+    joint = empirical_joint(
+        np.column_stack(obs_cols), *(sizes[n] for n in observed), alpha=args.alpha
+    )
     marginals = []
     flags = []
     for copy in space.copies:
@@ -255,46 +245,21 @@ def _trivariate_inputs(args, spec: CausalModelSpec, x, y, env, header, data):
     return TrivariateInputs(joint, tuple(marginals), tuple(flags))
 
 
-def empirical_joint_nd(cols, sizes, alpha: float = 0.0) -> DiscreteDistribution:
-    """Empirical joint over an arbitrary number of category columns."""
-    arrs = [np.asarray(c, dtype=int) for c in cols]
-    flat = np.zeros(arrs[0].size, dtype=int)
-    for arr, size in zip(arrs, sizes):
-        if arr.min() < 0 or arr.max() >= size:
-            raise ValueError(f"category out of range [0, {size})")
-        flat = flat * size + arr
-    counts = np.bincount(flat, minlength=int(np.prod(sizes))).astype(float) + alpha
-    return DiscreteDistribution(tuple(sizes), counts / counts.sum())
-
-
 def cmd_approx(args) -> int:
     x, y, env, header, data = _load_xy(args)
     b_x, b_y = _infer_b(x, y, args.bx, args.by)
-    if _is_trivariate_name(args.model):
+    variant = ModelVariant.from_name(args.model)
+    if variant.is_trivariate:
         b_z = args.bz or _infer_bz(args, header, data, env)
-        spec = CausalModelSpec.from_name(args.model, b_x, b_y, b_z)
-    else:
-        spec = CausalModelSpec.from_name(args.model, b_x, b_y)
-
-    if spec.is_trivariate:
+        spec = CausalModelSpec(variant, b_x, b_y, b_z)
         inputs = _trivariate_inputs(args, spec, x, y, env, header, data)
     else:
-        xc = ensure_categories(x, b_x)
-        yc = ensure_categories(y, b_y)
-        cause = model_space(spec).observed_names[0]
-        split = _split_rows(
-            xc, yc, env, PreprocessMode(args.preprocess), cause, args.seed
+        spec = CausalModelSpec(variant, b_x, b_y)
+        inputs_xy, inputs_yx = direction_inputs(
+            x, y, b_x, b_y, _discovery_config(args), env
         )
-        if cause == "x":
-            inputs = build_inputs(
-                split.obs_x, split.obs_y, split.int_x, split.int_y,
-                b_x, b_y, args.alpha,
-            )
-        else:
-            inputs = build_inputs(
-                split.obs_y, split.obs_x, split.int_y, split.int_x,
-                b_y, b_x, args.alpha,
-            )
+        cause = model_space(spec).observed_names[0]
+        inputs = inputs_xy if cause == "x" else inputs_yx
     result = approximate(inputs, spec, args.error_mode)
     payload = {
         "model": spec.variant.value,
@@ -307,17 +272,6 @@ def cmd_approx(args) -> int:
     }
     _emit(payload, args.output)
     return 0
-
-
-def _is_trivariate_name(name: str) -> bool:
-    try:
-        variant = ModelVariant(name)
-    except ValueError:
-        known = ", ".join(v.value for v in ModelVariant)
-        raise UnsupportedModelError(
-            f"unknown model {name!r}; known models: {known}"
-        ) from None
-    return variant.value.startswith("z_")
 
 
 def _infer_bz(args, header, data, env) -> int:

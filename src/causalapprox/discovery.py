@@ -5,6 +5,9 @@ approximation error to a cause->effect model is computed for both variable
 orderings, and the ordering with the clearly smaller error wins. For binary
 data whose projections are compatible with a monotone mechanism, near-ties
 are broken by the larger probability of necessary-and-sufficient causation.
+
+:func:`direction_inputs` is the one path from rows to the cause-first inputs
+of both orderings; :func:`discover` and the command-line interface share it.
 """
 
 from __future__ import annotations
@@ -160,7 +163,7 @@ def build_inputs(
     distribution and are flagged.
     """
     joint = empirical_joint(
-        np.column_stack([cause_obs, effect_obs]), b_cause, b_effect, alpha
+        np.column_stack([cause_obs, effect_obs]), b_cause, b_effect, alpha=alpha
     )
     cause_int = np.asarray(cause_int)
     effect_int = np.asarray(effect_int)
@@ -277,34 +280,26 @@ def split_by_environment(x, y, env) -> EnvSplit:
     return EnvSplit(xs[is_obs], ys[is_obs], xs[is_do], ys[is_do])
 
 
-def discover(
+def direction_inputs(
     x,
     y,
     b_x: int,
     b_y: int,
     config: DiscoveryConfig | None = None,
     env=None,
-) -> DiscoveryVerdict:
-    """Infer the causal ordering of two sample columns.
+) -> tuple[EmpiricalInputs, EmpiricalInputs]:
+    """Cause-first empirical inputs for both orderings of two sample columns.
 
-    Columns are discretized (if needed), split per the configured mode (or by
-    explicit ``env`` labels when given), and both orderings are scored by
-    their approximation error. On binary data where both orderings admit a
-    competitive monotone fit, errors within ``epsilon`` of each other are
-    resolved by the higher PNS; otherwise errors within ``epsilon`` yield no
-    decision.
+    Columns are coerced to categories, then split by explicit ``env`` labels
+    when given (one split serves both orderings) or per the configured
+    preprocess mode, seeded by stream ``[seed, 0]`` with x as the cause and
+    ``[seed, 1]`` with y as the cause. Returns the x -> y inputs and the
+    y -> x inputs, the latter with y in the cause position.
     """
     if config is None:
         config = DiscoveryConfig()
-    xs = np.asarray(x).reshape(-1)
-    ys = np.asarray(y).reshape(-1)
-    if xs.size != ys.size:
-        raise ValueError("x and y must have equal length")
-    if xs.size < 4:
-        raise InsufficientDataError("discovery needs at least 4 rows")
-    xc = ensure_categories(xs, b_x)
-    yc = ensure_categories(ys, b_y)
-
+    xc = ensure_categories(x, b_x)
+    yc = ensure_categories(y, b_y)
     if env is not None:
         split_x = split_y = split_by_environment(xc, yc, env)
     else:
@@ -316,19 +311,6 @@ def discover(
             xc, yc, config.preprocess_mode, "y",
             np.random.default_rng([config.seed, 1]),
         )
-    return discover_from_splits(split_x, split_y, b_x, b_y, config)
-
-
-def discover_from_splits(
-    split_x: EnvSplit,
-    split_y: EnvSplit,
-    b_x: int,
-    b_y: int,
-    config: DiscoveryConfig | None = None,
-) -> DiscoveryVerdict:
-    """Run the dual-direction comparison on already-split rows."""
-    if config is None:
-        config = DiscoveryConfig()
     inputs_xy = build_inputs(
         split_x.obs_x, split_x.obs_y, split_x.int_x, split_x.int_y,
         b_x, b_y, config.alpha,
@@ -337,6 +319,34 @@ def discover_from_splits(
         split_y.obs_y, split_y.obs_x, split_y.int_y, split_y.int_x,
         b_y, b_x, config.alpha,
     )
+    return inputs_xy, inputs_yx
+
+
+def discover(
+    x,
+    y,
+    b_x: int,
+    b_y: int,
+    config: DiscoveryConfig | None = None,
+    env=None,
+) -> DiscoveryVerdict:
+    """Infer the causal ordering of two sample columns.
+
+    Both orderings' inputs come from :func:`direction_inputs`, the same
+    ingest the CLI uses, and each ordering is scored by its approximation
+    error. On binary data where both orderings admit a competitive monotone
+    fit, errors within ``epsilon`` of each other are resolved by the higher
+    PNS; otherwise errors within ``epsilon`` yield no decision.
+    """
+    if config is None:
+        config = DiscoveryConfig()
+    xs = np.asarray(x).reshape(-1)
+    ys = np.asarray(y).reshape(-1)
+    if xs.size != ys.size:
+        raise ValueError("x and y must have equal length")
+    if xs.size < 4:
+        raise InsufficientDataError("discovery needs at least 4 rows")
+    inputs_xy, inputs_yx = direction_inputs(xs, ys, b_x, b_y, config, env)
     eval_xy = _evaluate_direction(inputs_xy, config, "x->y")
     eval_yx = _evaluate_direction(inputs_yx, config, "y->x")
 

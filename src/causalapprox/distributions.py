@@ -164,7 +164,7 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Relative entropy D(p || q) in nats.
 
     Uses the convention 0 * log(0/q) = 0 and returns ``math.inf`` exactly when
-    some cell has p > 0 but q = 0.
+    some cell has p > 0 but q = 0. Rounding below zero is clamped to 0.
     """
     if p.shape != q.shape:
         raise ValueError(
@@ -174,33 +174,37 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     support = pm > 0.0
     if np.any(qm[support] == 0.0):
         return math.inf
-    return float(np.sum(pm[support] * np.log(pm[support] / qm[support])))
+    kl = float(np.sum(pm[support] * np.log(pm[support] / qm[support])))
+    # nonnegative by Gibbs' inequality; the sum can round a few ulps below 0
+    return max(0.0, kl)
 
 
-def empirical_joint(
-    pairs, b_x: int, b_y: int, alpha: float = 0.0
-) -> DiscreteDistribution:
-    """Empirical joint distribution of (x, y) category pairs over [b_x, b_y].
+def empirical_joint(rows, *sizes: int, alpha: float = 0.0) -> DiscreteDistribution:
+    """Empirical joint distribution of category rows over ``sizes``.
 
     Args:
-        pairs: iterable of (x, y) pairs or an (n, 2) integer array.
-        b_x, b_y: range sizes; every category must lie in range.
+        rows: iterable of category tuples or an (n, k) integer array, one
+            column per range size.
+        sizes: range size of each column; every category must lie in range.
         alpha: optional additive smoothing added to every cell count
             (default 0, i.e. the raw empirical distribution).
     """
-    arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs)
+    arr = np.asarray(list(rows) if not isinstance(rows, np.ndarray) else rows)
     if arr.size == 0:
         raise InsufficientDataError("empirical_joint needs at least one row")
-    arr = arr.reshape(-1, 2).astype(int)
-    if arr[:, 0].min() < 0 or arr[:, 0].max() >= b_x:
-        raise ValueError(f"x category out of range [0, {b_x})")
-    if arr[:, 1].min() < 0 or arr[:, 1].max() >= b_y:
-        raise ValueError(f"y category out of range [0, {b_y})")
+    if arr.ndim != 2 or arr.shape[1] != len(sizes):
+        raise ValueError(f"rows must have {len(sizes)} columns, one per range size")
+    arr = arr.astype(int)
+    for col, size in zip(arr.T, sizes):
+        if col.min() < 0 or col.max() >= size:
+            raise ValueError(f"category out of range [0, {size})")
     if alpha < 0:
         raise ValueError("smoothing alpha must be nonnegative")
-    flat = arr[:, 0] * b_y + arr[:, 1]
-    counts = np.bincount(flat, minlength=b_x * b_y).astype(float) + alpha
-    return DiscreteDistribution(Shape((b_x, b_y)), counts / counts.sum())
+    flat = np.zeros(len(arr), dtype=int)
+    for col, size in zip(arr.T, sizes):
+        flat = flat * size + col
+    counts = np.bincount(flat, minlength=math.prod(sizes)).astype(float) + alpha
+    return DiscreteDistribution(Shape(sizes), counts / counts.sum())
 
 
 def empirical_marginal(

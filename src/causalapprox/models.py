@@ -38,19 +38,20 @@ class ModelVariant(enum.Enum):
     Z_COLLIDER = "z_collider"
     Z_COLLIDER_HIDDEN = "z_collider_hidden"
 
+    @classmethod
+    def from_name(cls, name: str) -> "ModelVariant":
+        try:
+            return cls(name)
+        except ValueError:
+            known = ", ".join(v.value for v in cls)
+            raise UnsupportedModelError(
+                f"unknown model {name!r}; known models: {known}"
+            ) from None
 
-_BIVARIATE = {
-    ModelVariant.X_TO_Y,
-    ModelVariant.Y_TO_X,
-    ModelVariant.X_TO_Y_MONO_INC,
-    ModelVariant.X_TO_Y_MONO_DEC,
-    ModelVariant.Y_TO_X_MONO_INC,
-    ModelVariant.Y_TO_X_MONO_DEC,
-    ModelVariant.ANM_S1,
-    ModelVariant.ANM_S2,
-    ModelVariant.ANM_S3,
-    ModelVariant.ANM_S4,
-}
+    @property
+    def is_trivariate(self) -> bool:
+        return self.value.startswith("z_")
+
 
 _BINARY_ONLY = {
     ModelVariant.X_TO_Y_MONO_INC,
@@ -121,7 +122,7 @@ class CausalModelSpec:
 
     @property
     def is_trivariate(self) -> bool:
-        return self.variant not in _BIVARIATE
+        return self.variant.is_trivariate
 
     @property
     def anm_objective(self) -> int | None:
@@ -131,14 +132,7 @@ class CausalModelSpec:
     def from_name(
         cls, name: str, b_x: int, b_y: int, b_z: int | None = None
     ) -> "CausalModelSpec":
-        try:
-            variant = ModelVariant(name)
-        except ValueError:
-            known = ", ".join(v.value for v in ModelVariant)
-            raise UnsupportedModelError(
-                f"unknown model {name!r}; known models: {known}"
-            ) from None
-        return cls(variant, b_x, b_y, b_z)
+        return cls(ModelVariant.from_name(name), b_x, b_y, b_z)
 
 
 @dataclass(frozen=True)
@@ -262,52 +256,31 @@ def _member_flags(spec: CausalModelSpec, space: ModelSpace) -> np.ndarray:
             flags &= ~((coords[:, 2] == 0) & (coords[:, 3] == 1))
         return flags
 
+    # Each structure's predicate reads the copies that one value of z selects;
+    # a hidden z must satisfy it at every value it could take.
     x = coords[:, 0]
     y = coords[:, 1]
     b_z = spec.b_z
-    if v is ModelVariant.Z_CONFOUNDER:
-        z = coords[:, 2]
-        x_copy = np.take_along_axis(coords[:, 3::2], z[:, None], axis=1).reshape(-1)
-        y_copy = np.take_along_axis(coords[:, 4::2], z[:, None], axis=1).reshape(-1)
-        return (x_copy == x) == (y_copy == y)
-    if v is ModelVariant.Z_CONFOUNDER_HIDDEN:
-        flags = np.ones(len(coords), dtype=bool)
-        for a in range(b_z):
-            x_copy = coords[:, 2 + 2 * a]
-            y_copy = coords[:, 3 + 2 * a]
-            flags &= (x_copy == x) == (y_copy == y)
-        return flags
-    if v is ModelVariant.Z_CHAIN:
-        z = coords[:, 2]
-        x_cols = coords[:, 3:3 + b_z]
-        y_cols = coords[:, 3 + b_z:]
-        x_copy = np.take_along_axis(x_cols, z[:, None], axis=1).reshape(-1)
-        y_copy = np.take_along_axis(y_cols, x[:, None], axis=1).reshape(-1)
-        return (x_copy == x) == (y_copy == y)
-    if v is ModelVariant.Z_CHAIN_HIDDEN:
-        x_cols = coords[:, 2:2 + b_z]
-        y_cols = coords[:, 2 + b_z:]
-        y_copy = np.take_along_axis(y_cols, x[:, None], axis=1).reshape(-1)
-        flags = np.ones(len(coords), dtype=bool)
-        for a in range(b_z):
-            flags &= (x_cols[:, a] == x) == (y_copy == y)
-        return flags
-    if v is ModelVariant.Z_COLLIDER:
-        z = coords[:, 2]
-        z_cols = coords[:, 3:3 + b_z]
-        x_cols = coords[:, 3 + b_z:]
-        v_z = np.take_along_axis(z_cols, z[:, None], axis=1).reshape(-1)
-        v_x = np.take_along_axis(x_cols, x[:, None], axis=1).reshape(-1)
-        return _collider_pair_ok(v_z, v_x, y)
-    if v is ModelVariant.Z_COLLIDER_HIDDEN:
-        z_cols = coords[:, 2:2 + b_z]
-        x_cols = coords[:, 2 + b_z:]
-        v_x = np.take_along_axis(x_cols, x[:, None], axis=1).reshape(-1)
-        flags = np.ones(len(coords), dtype=bool)
-        for a in range(b_z):
-            flags &= _collider_pair_ok(z_cols[:, a], v_x, y)
-        return flags
-    raise UnsupportedModelError(f"no support predicate for {v.value}")
+    cells = np.arange(len(coords))
+    base = len(space.observed_names)
+
+    def copy(index):
+        return coords[cells, base + index]
+
+    if v in (ModelVariant.Z_CONFOUNDER, ModelVariant.Z_CONFOUNDER_HIDDEN):
+        def holds(z):
+            return (copy(2 * z) == x) == (copy(2 * z + 1) == y)
+    elif v in (ModelVariant.Z_CHAIN, ModelVariant.Z_CHAIN_HIDDEN):
+        def holds(z):
+            return (copy(z) == x) == (copy(b_z + x) == y)
+    elif v in (ModelVariant.Z_COLLIDER, ModelVariant.Z_COLLIDER_HIDDEN):
+        def holds(z):
+            return _collider_pair_ok(copy(z), copy(b_z + x), y)
+    else:
+        raise UnsupportedModelError(f"no support predicate for {v.value}")
+    if _is_hidden(v):
+        return np.logical_and.reduce([holds(a) for a in range(b_z)])
+    return holds(coords[:, 2])
 
 
 def _collider_pair_ok(v_z: np.ndarray, v_x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -325,18 +298,13 @@ def build_support(spec: CausalModelSpec) -> SupportSet:
     """Materialize the support set of a model variant.
 
     For plain variants the objective coefficients equal the membership
-    indicator; ANM variants carry the reweighted coefficients of
-    :func:`build_objective`.
+    indicator; ANM variants reweight the support cells of one observed pair
+    up and of another down.
     """
     space = model_space(spec)
     flags = _member_flags(spec, space)
     coeffs = _objective_from_flags(spec, space, flags)
     return SupportSet(space, flags, coeffs)
-
-
-def build_objective(spec: CausalModelSpec) -> np.ndarray:
-    """LP objective coefficients for a model variant."""
-    return build_support(spec).objective_coeffs
 
 
 def _objective_from_flags(
@@ -359,41 +327,3 @@ def _objective_from_flags(
     coeffs[flags & (on[0] == pair_plus[0]) & (on[1] == pair_plus[1])] += 1.0
     coeffs[flags & (on[0] == pair_minus[0]) & (on[1] == pair_minus[1])] -= 1.0
     return coeffs
-
-
-@dataclass(frozen=True)
-class RoleSwap:
-    """Recipe for evaluating a mirrored bivariate model by column exchange."""
-
-    model: CausalModelSpec
-
-    def apply(self, x, y):
-        """Swap the data columns; feeding them to the mirrored model's
-        opposite-role machinery reproduces the original model."""
-        return y, x
-
-    def apply_pairs(self, pairs):
-        arr = np.asarray(pairs).reshape(-1, 2)
-        return arr[:, ::-1].copy()
-
-
-_MIRROR = {
-    ModelVariant.X_TO_Y: ModelVariant.Y_TO_X,
-    ModelVariant.Y_TO_X: ModelVariant.X_TO_Y,
-    ModelVariant.X_TO_Y_MONO_INC: ModelVariant.Y_TO_X_MONO_INC,
-    ModelVariant.Y_TO_X_MONO_INC: ModelVariant.X_TO_Y_MONO_INC,
-    ModelVariant.X_TO_Y_MONO_DEC: ModelVariant.Y_TO_X_MONO_DEC,
-    ModelVariant.Y_TO_X_MONO_DEC: ModelVariant.X_TO_Y_MONO_DEC,
-}
-
-
-def swap_roles(spec: CausalModelSpec) -> RoleSwap:
-    """Mirror a bivariate model across the cause/effect roles.
-
-    Running the mirrored model on column-swapped data is equivalent to
-    running the original model on the original data.
-    """
-    if spec.is_trivariate:
-        raise UnsupportedModelError("role swap is defined for bivariate models only")
-    mirrored = _MIRROR.get(spec.variant, spec.variant)
-    return RoleSwap(CausalModelSpec(mirrored, spec.b_x, spec.b_y))

@@ -25,6 +25,14 @@ def random_inputs(b_cause, b_effect, seed):
     return EmpiricalInputs(joint, marginals)
 
 
+def noisy_cycle_columns():
+    """400 rows of 3x3 data, y = 2x + 1 (mod 3) with 30 % uniform noise."""
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 3, 400)
+    y = np.where(rng.random(400) < 0.7, (2 * x + 1) % 3, rng.integers(0, 3, 400))
+    return x, y
+
+
 def cause_effect_support_by_union(b_cause, b_effect):
     """Support of the cause->effect model built from the union-of-products
     form: for each (cause value a, effect value y), cells with cause=a,

@@ -1,12 +1,16 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from causalapprox import DiscoveryConfig, PreprocessMode, discover
 from causalapprox.cli import main
+from oracles import noisy_cycle_columns
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_CSV = DATA_DIR / "noiseless_xy.csv"
@@ -26,6 +30,14 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
+
+
+def run_in_process(*argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    assert code == 0
+    return json.loads(buf.getvalue())
 
 
 def binary_or_csv(path, n=2000, rate=0.2, seed=41):
@@ -199,6 +211,25 @@ class TestApproxCommand:
         )
         assert result.returncode != 0
         assert "environment" in result.stderr
+
+
+class TestCliMatchesLibrary:
+    @pytest.mark.parametrize("mode", [m.value for m in PreprocessMode])
+    def test_approx_and_discover_match_library_discover(self, tmp_path, mode):
+        # approx builds each ordering's inputs through the same split as
+        # discover, so its local errors are discover's d_xy and d_yx
+        x, y = noisy_cycle_columns()
+        path = tmp_path / "cycle.csv"
+        write_csv(path, ["x", "y"], zip(x, y))
+        config = DiscoveryConfig(preprocess_mode=PreprocessMode(mode))
+        verdict = discover(x, y, 3, 3, config)
+        common = (str(path), "--preprocess", mode, "--output", "json")
+        xy = run_in_process("approx", "--model", "x_to_y", *common)
+        yx = run_in_process("approx", "--model", "y_to_x", *common)
+        assert xy["local_error"] == verdict.d_xy
+        assert yx["local_error"] == verdict.d_yx
+        cli = run_in_process("discover", *common)
+        assert (cli["d_xy"], cli["d_yx"]) == (verdict.d_xy, verdict.d_yx)
 
 
 class TestBenchCommand:

@@ -19,6 +19,7 @@ from causalapprox import (
     split_by_environment,
 )
 from causalapprox.discovery import ensure_categories, verdict_with_swapped_columns
+from oracles import noisy_cycle_columns
 
 
 def deterministic_skewed_data(seed=5):
@@ -206,6 +207,13 @@ class TestDiscover:
         verdict = discover(x, y, 2, 2, env=env)
         assert verdict.decision in (Decision.NO_DECISION, Decision.X_TO_Y,
                                     Decision.Y_TO_X)
+
+    @pytest.mark.parametrize("mode", list(PreprocessMode), ids=lambda m: m.value)
+    def test_errors_never_negative(self, mode):
+        # near-exact fits round the divergence to a few ulps around zero
+        x, y = noisy_cycle_columns()
+        verdict = discover(x, y, 3, 3, DiscoveryConfig(preprocess_mode=mode))
+        assert verdict.d_xy >= 0.0 and verdict.d_yx >= 0.0
 
     def test_continuous_inputs_are_discretized(self):
         rng = np.random.default_rng(26)

@@ -187,6 +187,38 @@ class TestEmpiricalJoint:
         d = empirical_joint([(0, 0)], 2, 2, alpha=1.0)
         assert np.allclose(d.mass, [2 / 5, 1 / 5, 1 / 5, 1 / 5])
 
+    def test_negative_smoothing_rejected(self):
+        with pytest.raises(ValueError):
+            empirical_joint([(0, 0)], 2, 2, alpha=-0.5)
+
+    def test_symmetric_rows_unchanged_by_column_swap(self):
+        rows = np.array([(0, 0), (1, 1), (0, 0)])
+        assert empirical_joint(rows[:, ::-1], 2, 2) == empirical_joint(rows, 2, 2)
+
+    def test_column_permutation_transposes_joint(self):
+        rng = np.random.default_rng(21)
+        rows = rng.integers(0, 3, size=(200, 2))
+        original = empirical_joint(rows, 3, 3).as_array()
+        swapped = empirical_joint(rows[:, ::-1], 3, 3).as_array()
+        assert np.allclose(swapped, original.T)
+        rows = np.column_stack([rows, rng.integers(0, 2, 200)])
+        original = empirical_joint(rows, 3, 3, 2).as_array()
+        permuted = empirical_joint(rows[:, [2, 0, 1]], 2, 3, 3).as_array()
+        assert np.allclose(permuted, original.transpose(2, 0, 1))
+
+    def test_three_columns_count_cells(self):
+        rows = [(0, 1, 2), (0, 1, 2), (1, 0, 0), (1, 2, 1)]
+        d = empirical_joint(rows, 2, 3, 3)
+        assert d.shape.axis_sizes == (2, 3, 3)
+        assert d.prob((0, 1, 2)) == 0.5
+        assert d.prob((1, 0, 0)) == d.prob((1, 2, 1)) == 0.25
+        with pytest.raises(ValueError):
+            empirical_joint(rows, 2, 3, 2)  # z = 2 out of range
+
+    def test_column_count_must_match_sizes(self):
+        with pytest.raises(ValueError):
+            empirical_joint([(0, 1, 0)], 2, 2)
+
     def test_marginal_helper(self):
         d = empirical_marginal([0, 0, 1, 1], 2)
         assert np.allclose(d.mass, [0.5, 0.5])

@@ -7,11 +7,8 @@ from causalapprox import (
     CausalModelSpec,
     ModelVariant,
     UnsupportedModelError,
-    build_objective,
     build_support,
-    empirical_joint,
     model_space,
-    swap_roles,
 )
 from oracles import cause_effect_support_by_union, trivariate_zero_cells
 
@@ -90,6 +87,15 @@ class TestBivariateSupport:
     def test_unknown_name(self):
         with pytest.raises(UnsupportedModelError):
             CausalModelSpec.from_name("nonsense", 2, 2)
+        with pytest.raises(UnsupportedModelError, match="known models: x_to_y"):
+            ModelVariant.from_name("nonsense")
+
+    def test_trivariate_names(self):
+        trivariate = {v for v in ModelVariant if v.is_trivariate}
+        assert trivariate == set(TRIVARIATE)
+        for v in ModelVariant:
+            b_z = 2 if v.is_trivariate else None
+            assert CausalModelSpec(v, 2, 2, b_z).is_trivariate is v.is_trivariate
 
 
 class TestAnmObjectives:
@@ -105,16 +111,16 @@ class TestAnmObjectives:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_frozen_coefficients(self, k):
         variant = ModelVariant(f"anm_s{k}")
-        coeffs = build_objective(spec(variant))
+        coeffs = build_support(spec(variant)).objective_coeffs
         expected = np.zeros(16)
         for idx, value in self.EXPECTED[k].items():
             expected[idx] = value
         assert np.array_equal(coeffs, expected)
 
     def test_pairs_sum_to_twice_plain(self):
-        plain = build_objective(spec(ModelVariant.X_TO_Y))
+        plain = build_support(spec(ModelVariant.X_TO_Y)).objective_coeffs
         s = {
-            k: build_objective(spec(ModelVariant(f"anm_s{k}")))
+            k: build_support(spec(ModelVariant(f"anm_s{k}"))).objective_coeffs
             for k in (1, 2, 3, 4)
         }
         assert np.array_equal(s[1] + s[2], 2 * plain)
@@ -138,6 +144,7 @@ TRIVARIATE = [
     ModelVariant.Z_COLLIDER,
     ModelVariant.Z_COLLIDER_HIDDEN,
 ]
+HIDDEN = TRIVARIATE[1::2]
 
 
 class TestTrivariateSupport:
@@ -164,6 +171,19 @@ class TestTrivariateSupport:
         members = set(supp.member_indices().tolist())
         assert members == set(range(space.shape.n_cells)) - zeros
 
+    @pytest.mark.parametrize("hidden", HIDDEN, ids=lambda v: v.value)
+    @pytest.mark.parametrize("sizes", list(itertools.product((2, 3), repeat=3)))
+    def test_hidden_z_is_observed_z_at_every_z(self, hidden, sizes):
+        # a hidden-z cell is in the support iff the observed-z cell with the
+        # same x, y and copies is, for every value z could take
+        observed = ModelVariant(hidden.value.removesuffix("_hidden"))
+        flags_h = build_support(spec(hidden, *sizes))
+        flags_o = build_support(spec(observed, *sizes))
+        grid_o = flags_o.member_flags.reshape(flags_o.shape.axis_sizes)
+        expected = grid_o.all(axis=2).reshape(-1)
+        assert flags_h.shape.axis_sizes == grid_o.shape[:2] + grid_o.shape[3:]
+        assert np.array_equal(flags_h.member_flags, expected)
+
     def test_hidden_variants_observe_two_axes(self):
         observed = model_space(spec(ModelVariant.Z_CHAIN_HIDDEN, 2, 2, 2))
         assert observed.observed_names == ("x", "y")
@@ -177,32 +197,3 @@ class TestTrivariateSupport:
     def test_range_size_cap(self):
         with pytest.raises(UnsupportedModelError):
             CausalModelSpec(ModelVariant.Z_CONFOUNDER, 4, 4, 4)
-
-
-class TestSwapRoles:
-    def test_single_row(self):
-        recipe = swap_roles(spec(ModelVariant.X_TO_Y))
-        assert recipe.apply_pairs([(0, 1)]).tolist() == [[1, 0]]
-        assert recipe.model.variant is ModelVariant.Y_TO_X
-
-    def test_symmetric_data_unchanged(self):
-        rows = [(0, 0), (1, 1), (0, 0)]
-        recipe = swap_roles(spec(ModelVariant.X_TO_Y))
-        swapped = recipe.apply_pairs(rows)
-        assert empirical_joint(swapped, 2, 2) == empirical_joint(rows, 2, 2)
-
-    def test_transpose_oracle(self):
-        rng = np.random.default_rng(21)
-        rows = rng.integers(0, 3, size=(200, 2))
-        recipe = swap_roles(spec(ModelVariant.X_TO_Y, 3, 3))
-        original = empirical_joint(rows, 3, 3).as_array()
-        swapped = empirical_joint(recipe.apply_pairs(rows), 3, 3).as_array()
-        assert np.allclose(swapped, original.T)
-
-    def test_monotone_mirror(self):
-        recipe = swap_roles(spec(ModelVariant.X_TO_Y_MONO_DEC))
-        assert recipe.model.variant is ModelVariant.Y_TO_X_MONO_DEC
-
-    def test_trivariate_rejected(self):
-        with pytest.raises(UnsupportedModelError):
-            swap_roles(spec(ModelVariant.Z_CHAIN, 2, 2, 2))
