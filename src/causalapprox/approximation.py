@@ -7,11 +7,21 @@ onto the support. The lost mass determines the global approximation error; the
 divergence between the observed-variable marginals before and after
 re-weighting is the local approximation error.
 
-The plain cause -> effect models (``x_to_y``, ``y_to_x``) are projected in
-closed form: the optimum is a maximal coupling of each interventional copy
-with its row of the observational joint, and the copies are glued
-conditionally independent given the observed cell. Every other variant is
-projected by linear programming over the embedded space.
+The optimum is found on one of three routes:
+
+- the plain cause -> effect models (``x_to_y``, ``y_to_x``) in closed form:
+  the optimum is a maximal coupling of each interventional copy with its row
+  of the observational joint;
+- the observed-z trivariate models (``z_confounder``, ``z_chain``,
+  ``z_collider``) by a linear program over the joint of the two copies the
+  support predicate reads at each observed cell, plus one slack per copy
+  value;
+- every other variant (monotone, ANM, hidden z) by the linear program over
+  the whole embedded space.
+
+The two decomposed routes glue their optimum into the embedded space with
+the copies conditionally independent given the observed cell, so every
+route yields the same kind of result.
 """
 
 from __future__ import annotations
@@ -39,6 +49,8 @@ from .models import (
     ModelSpace,
     ModelVariant,
     SupportSet,
+    _pair_holds,
+    _pair_reads,
     build_support,
     model_space,
 )
@@ -54,6 +66,8 @@ MAX_BIVARIATE_RANGE = 4
 
 # Variants whose optimum is the maximal coupling, projected without an LP.
 _CLOSED_FORM = {ModelVariant.X_TO_Y, ModelVariant.Y_TO_X}
+# Variants projected by the per-cell pair LP instead of the embedding LP.
+_PAIR_LP = {ModelVariant.Z_CONFOUNDER, ModelVariant.Z_CHAIN, ModelVariant.Z_COLLIDER}
 
 
 @dataclass(frozen=True)
@@ -124,13 +138,15 @@ class ApproximationResult:
     """Projection outcome for one model variant.
 
     ``p_hat`` is the optimum over the full embedded space: the glued maximal
-    coupling for the plain cause -> effect variants, the LP vertex otherwise.
+    coupling for the plain cause -> effect variants, the glued pair-LP vertex
+    for the observed-z variants, the embedding-LP vertex otherwise.
     ``s_value`` is the objective at the optimum (equal to the support mass
     for plain variants, possibly larger for the reweighted ANM objectives).
     ``global_error`` is the relative entropy from the projection to the
-    optimum, ``-log`` of the support mass; ``local_error`` is the divergence
-    of the observed-variable marginals. A degenerate fit (no mass reachable on
-    the support) reports both errors as infinity and no projection.
+    optimum, ``-log`` of the support mass (never below zero); ``local_error``
+    is the divergence of the observed-variable marginals. A degenerate fit
+    (no mass reachable on the support) reports both errors as infinity and no
+    projection.
     """
 
     model: CausalModelSpec
@@ -241,14 +257,74 @@ def _lp_optimum(
     """Optimal vertex of the embedding LP under the support's objective."""
     a = _constraint_rows(support.space)
     c = _constraint_rhs(joint, marginals)
-    solution = solve(LpProblem(a, c, support.objective_coeffs))
+    p = _solve_checked(LpProblem(a, c, support.objective_coeffs))
+    return DiscreteDistribution(support.shape, p)
+
+
+def _solve_checked(problem: LpProblem) -> np.ndarray:
+    solution = solve(problem)
     if solution.status is LpStatus.INFEASIBLE:
         raise InfeasibleConstraintsError(
             "empirical marginals admit no joint distribution"
         )
     if solution.status is not LpStatus.OPTIMAL:
         raise SolverFailureError(f"LP solver returned {solution.status.value}")
-    return DiscreteDistribution(support.shape, solution.p)
+    return solution.p
+
+
+def _pair_lp_optimum(
+    spec: CausalModelSpec,
+    space: ModelSpace,
+    joint: DiscreteDistribution,
+    marginals: Sequence[DiscreteDistribution],
+) -> tuple[DiscreteDistribution, np.ndarray]:
+    """Optimum of an observed-z projection from a per-cell LP over copy pairs.
+
+    At observed cell (x, y, z) the support predicate reads only the two
+    copies :func:`_pair_reads` names, so the LP runs over w[cell, u, v], the
+    joint of those two copies at each cell, plus a slack s[k, t] per copy
+    value: each cell's w sums to P(cell), and for each copy k and value t the
+    mass that the cells reading k put on t plus s[k, t] equals q_k(t). The
+    cells that do not read copy k can take any copy-k distribution that
+    totals their mass, and s_k totals exactly that, so the inequality is
+    exact. The full optimum glues w with every unread copy k drawn from
+    s_k / sum(s_k), independently given the cell.
+
+    Returns the embedded optimum and the support mass per observed cell.
+    """
+    x, y, z = joint.shape.coordinates().T
+    first, second = _pair_reads(spec, x, z)
+    sizes = [copy.size for copy in space.copies]
+    # every cell reads copies of the same two ranges
+    n_u, n_v = sizes[first[0]], sizes[second[0]]
+    u, v = np.indices((n_u, n_v)).reshape(2, -1)
+    n_cells, n_pairs, n_slack = x.size, n_u * n_v, sum(sizes)
+    n_w = n_cells * n_pairs
+    offset = np.cumsum([0] + sizes[:-1])  # slack of copy k's value 0
+    cols = np.arange(n_w).reshape(n_cells, n_pairs)
+    a = np.zeros((n_cells + n_slack, n_w + n_slack))
+    a[np.arange(n_cells)[:, None], cols] = 1.0
+    a[n_cells + offset[first][:, None] + u, cols] = 1.0
+    a[n_cells + offset[second][:, None] + v, cols] = 1.0
+    a[n_cells:, n_w:] = np.eye(n_slack)
+    rhs = np.concatenate([joint.mass] + [marg.mass for marg in marginals])
+    holds = _pair_holds(spec.variant, u, v, x[:, None], y[:, None])
+    c = np.concatenate([holds.reshape(-1), np.zeros(n_slack)])
+    p = _solve_checked(LpProblem(a, rhs, c))
+
+    w = p[:n_w].reshape(n_cells, n_u, n_v)
+    values = np.indices(sizes).reshape(len(sizes), -1)  # copy cells, flat order
+    grid = w[np.arange(n_cells)[:, None], values[first], values[second]]
+    slacks = np.split(p[n_w:], offset[1:])
+    for k, (slack, value) in enumerate(zip(slacks, values)):
+        total = slack.sum()
+        draw = slack / total if total > 0.0 else np.zeros_like(slack)
+        grid[(first != k) & (second != k)] *= draw[value]
+    on_support = (w.reshape(n_cells, n_pairs) * holds).sum(axis=1)
+    return (
+        DiscreteDistribution(space.shape, grid.reshape(-1)),
+        on_support.reshape(joint.shape.axis_sizes),
+    )
 
 
 def _maximal_coupling(
@@ -292,10 +368,12 @@ def approximate(
     """Project empirical inputs onto a model's support set.
 
     The plain cause -> effect variants take the closed-form optimum of
-    :func:`_maximal_coupling`; every other variant builds the equality
-    constraints from the inputs and maximizes the model objective by linear
-    programming. The optimum is then re-weighted onto the support. Inputs are
-    cause-first: for y-cause variants, build them from column-swapped data.
+    :func:`_maximal_coupling`, the observed-z variants the per-cell pair LP
+    of :func:`_pair_lp_optimum`; every other variant builds the equality
+    constraints over the embedded space and maximizes the model objective by
+    linear programming. The optimum is then re-weighted onto the support.
+    Inputs are cause-first: for y-cause variants, build them from
+    column-swapped data.
 
     Raises:
         InfeasibleConstraintsError: the constraints admit no distribution
@@ -312,9 +390,11 @@ def approximate(
     joint, marginals = _as_generic(inputs, space)
 
     if spec.variant in _CLOSED_FORM:
-        p_hat, coupled = _maximal_coupling(joint, marginals)
+        p_hat, cell_support = _maximal_coupling(joint, marginals)
+    elif spec.variant in _PAIR_LP:
+        p_hat, cell_support = _pair_lp_optimum(spec, space, joint, marginals)
     else:
-        p_hat, coupled = _lp_optimum(support, joint, marginals), None
+        p_hat, cell_support = _lp_optimum(support, joint, marginals), None
     s_value = float(support.objective_coeffs @ p_hat.mass)
     support_mass = float(support.member_flags.astype(float) @ p_hat.mass)
     if support_mass < DEGENERATE_MASS:
@@ -330,10 +410,10 @@ def approximate(
         )
     tilde = np.where(support.member_flags, p_hat.mass, 0.0) / support_mass
     p_tilde = DiscreteDistribution(space.shape, tilde)
-    if coupled is not None:
-        # the support holds exactly the coupled mass of each observed cell
+    if cell_support is not None:
         local = kl_divergence(
-            DiscreteDistribution(joint.shape, coupled / support_mass), joint
+            DiscreteDistribution(joint.shape, cell_support / support_mass),
+            joint,
         )
     else:
         observed = space.observed_axes
@@ -345,7 +425,8 @@ def approximate(
         p_hat=p_hat,
         p_tilde=p_tilde,
         s_value=s_value,
-        global_error=-math.log(support_mass) + 0.0,  # avoid -0.0
+        # rounding can lift a full fit's support mass above 1
+        global_error=max(0.0, -math.log(support_mass)),
         local_error=local,
         error_mode=error_mode,
         degenerate=False,

@@ -26,6 +26,7 @@ from .discovery import (
     DiscoveryConfig,
     DiscoveryVerdict,
     PreprocessMode,
+    _environment_masks,
     direction_inputs,
     discover,
     ensure_categories,
@@ -220,8 +221,7 @@ def _trivariate_inputs(args, spec: CausalModelSpec, x, y, env, header, data):
         zi = _column_index(header, args.z_col, "z")
         z = _numeric_column(data, zi, args.z_col)
         columns["z"] = ensure_categories(z, spec.b_z)
-    labels = np.asarray(env)
-    obs_mask = labels == "obs"
+    labels, obs_mask, _ = _environment_masks(env)
     if not obs_mask.any():
         raise InsufficientDataError("no observational rows")
     obs_cols = [columns[name][obs_mask] for name in observed]

@@ -262,22 +262,32 @@ def split_by_environment(x, y, env) -> EnvSplit:
     """
     xs = np.asarray(x)
     ys = np.asarray(y)
-    labels = np.asarray([str(e) for e in env])
+    labels, is_obs, is_do = _environment_masks(env)
     if not (xs.shape == ys.shape == labels.shape) or xs.ndim != 1:
         raise ValueError("x, y, env must be 1-d arrays of equal length")
-    is_obs = labels == "obs"
-    is_do = np.char.startswith(labels, "do:")
-    unknown = ~(is_obs | is_do)
-    if unknown.any():
-        bad = labels[unknown][0]
-        raise ValueError(
-            f"environment label {bad!r} is neither 'obs' nor 'do:<value>'"
-        )
     if not is_obs.any() or not is_do.any():
         raise InsufficientDataError(
             "need both observational and interventional rows"
         )
     return EnvSplit(xs[is_obs], ys[is_obs], xs[is_do], ys[is_do])
+
+
+def _environment_masks(env) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels as strings, with their ``obs`` and ``do:<...>`` masks.
+
+    Raises:
+        ValueError: a label is neither ``obs`` nor ``do:<...>``.
+    """
+    labels = np.asarray([str(e) for e in env])
+    is_obs = labels == "obs"
+    is_do = np.char.startswith(labels, "do:")
+    unknown = ~(is_obs | is_do)
+    if unknown.any():
+        bad = str(labels[unknown][0])
+        raise ValueError(
+            f"environment label {bad!r} is neither 'obs' nor 'do:<value>'"
+        )
+    return labels, is_obs, is_do
 
 
 def direction_inputs(

@@ -260,38 +260,47 @@ def _member_flags(spec: CausalModelSpec, space: ModelSpace) -> np.ndarray:
     # a hidden z must satisfy it at every value it could take.
     x = coords[:, 0]
     y = coords[:, 1]
-    b_z = spec.b_z
     cells = np.arange(len(coords))
     base = len(space.observed_names)
 
-    def copy(index):
-        return coords[cells, base + index]
+    def holds(z):
+        first, second = _pair_reads(spec, x, z)
+        return _pair_holds(
+            v, coords[cells, base + first], coords[cells, base + second], x, y
+        )
 
-    if v in (ModelVariant.Z_CONFOUNDER, ModelVariant.Z_CONFOUNDER_HIDDEN):
-        def holds(z):
-            return (copy(2 * z) == x) == (copy(2 * z + 1) == y)
-    elif v in (ModelVariant.Z_CHAIN, ModelVariant.Z_CHAIN_HIDDEN):
-        def holds(z):
-            return (copy(z) == x) == (copy(b_z + x) == y)
-    elif v in (ModelVariant.Z_COLLIDER, ModelVariant.Z_COLLIDER_HIDDEN):
-        def holds(z):
-            return _collider_pair_ok(copy(z), copy(b_z + x), y)
-    else:
-        raise UnsupportedModelError(f"no support predicate for {v.value}")
     if _is_hidden(v):
-        return np.logical_and.reduce([holds(a) for a in range(b_z)])
+        return np.logical_and.reduce([holds(a) for a in range(spec.b_z)])
     return holds(coords[:, 2])
 
 
-def _collider_pair_ok(v_z: np.ndarray, v_x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Allowed combinations of the two effect copies given the observed effect.
+def _pair_reads(spec: CausalModelSpec, x, z):
+    """The two interventional copies a trivariate predicate reads at (x, z).
 
-    A cell is zeroed when exactly one copy agrees with the observed effect, or
-    when both copies disagree with it while being equal to each other.
+    Copies are numbered in axis order, as in ``ModelSpace.copies``. The
+    confounder reads the x and y responses to do(z = z); the chain and the
+    collider read the response to do(z = z) and the y response to
+    do(x = x). Works elementwise on arrays.
     """
-    both_agree = (v_z == y) & (v_x == y)
-    both_differ = (v_z != y) & (v_x != y) & (v_z != v_x)
-    return both_agree | both_differ
+    if spec.variant in (ModelVariant.Z_CONFOUNDER,
+                        ModelVariant.Z_CONFOUNDER_HIDDEN):
+        return 2 * z, 2 * z + 1
+    return z, spec.b_z + x
+
+
+def _pair_holds(variant: ModelVariant, u, v, x, y) -> np.ndarray:
+    """Support predicate on the values u, v of the copies :func:`_pair_reads`
+    names, at observed x and y.
+
+    Confounder and chain: the first copy agrees with x exactly when the
+    second agrees with y. Collider, whose copies both record y: both agree
+    with the observed y, or both differ from it and from each other.
+    """
+    if variant in (ModelVariant.Z_COLLIDER, ModelVariant.Z_COLLIDER_HIDDEN):
+        both_agree = (u == y) & (v == y)
+        both_differ = (u != y) & (v != y) & (u != v)
+        return both_agree | both_differ
+    return (u == x) == (v == y)
 
 
 def build_support(spec: CausalModelSpec) -> SupportSet:

@@ -1,7 +1,8 @@
 """Dense two-phase simplex for equality-constrained maximization.
 
-Solves max c'p subject to A p = b, p >= 0. Problem sizes here stay small
-(at most a few thousand columns), so everything is kept dense and simple.
+Solves max c'p subject to A p = b, p >= 0. Everything is kept dense and
+simple: the problems have few rows, and the widest the package solves is
+the hidden-z embedding at ranges of 3, 21 rows by 6,561 columns.
 
 Pivoting starts with the largest-coefficient rule and switches permanently to
 Bland's rule once a run of degenerate pivots is detected, which guarantees

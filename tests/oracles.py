@@ -154,3 +154,42 @@ def trivariate_zero_cells(variant, space, b_x, b_y, b_z):
     else:
         raise ValueError(variant)
     return zeros
+
+
+def highs_support_mass(spec, joint, copy_marginals):
+    """Largest support mass over the whole embedded space, solved by HiGHS.
+
+    One equality row per observed cell and one per copy value, each built
+    here from the axes of ``model_space``; the support is
+    ``build_support(spec).member_flags``. Dual simplex with feasibility
+    tolerances of 1e-10, so the optimum is a vertex accurate well past the
+    default 1e-7.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    from causalapprox import build_support, model_space
+
+    space = model_space(spec)
+    sizes = space.shape.axis_sizes
+    coords = np.indices(sizes).reshape(len(sizes), -1)
+    obs_sizes = tuple(sizes[a] for a in space.observed_axes)
+    row_of_cell = [np.ravel_multi_index(
+        tuple(coords[a] for a in space.observed_axes), obs_sizes)]
+    rhs = [np.asarray(joint.mass)]
+    offset = int(np.prod(obs_sizes))
+    for copy, marg in zip(space.copies, copy_marginals):
+        row_of_cell.append(offset + coords[copy.axis])
+        rhs.append(np.asarray(marg.mass))
+        offset += copy.size
+    rows = np.concatenate(row_of_cell)
+    cols = np.tile(np.arange(coords.shape[1]), len(row_of_cell))
+    a_eq = sparse.csr_matrix((np.ones(rows.size), (rows, cols)),
+                             shape=(offset, coords.shape[1]))
+    flags = build_support(spec).member_flags.astype(float)
+    res = linprog(-flags, A_eq=a_eq, b_eq=np.concatenate(rhs),
+                  bounds=(0, None), method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return -res.fun

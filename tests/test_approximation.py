@@ -16,10 +16,11 @@ from causalapprox import (
     get_constraint_distribution,
     kl_divergence,
     marginalize,
+    model_space,
     shift_for_time_lag,
 )
 from causalapprox.discovery import DiscoveryConfig, discover
-from oracles import random_inputs
+from oracles import highs_support_mass, random_inputs
 
 DELTA0 = DiscreteDistribution((2,), [1.0, 0.0])
 DELTA1 = DiscreteDistribution((2,), [0.0, 1.0])
@@ -214,6 +215,47 @@ class TestTrivariateApproximate:
         )
         res = approximate(inputs, spec)
         assert res.global_error > 0.1
+
+    @pytest.mark.parametrize(
+        "variant", [v for v in ModelVariant if v.is_trivariate],
+        ids=lambda v: v.value,
+    )
+    @pytest.mark.parametrize("copies", [
+        (DELTA0, DELTA0, DELTA1, DELTA1),  # as in the consistent case
+        (DELTA1, DELTA0, DELTA0, DELTA1),  # as in the contradictory case
+    ], ids=["consistent", "contradictory"])
+    def test_two_cases_match_highs(self, variant, copies):
+        joint = np.zeros((2, 2, 2))
+        joint[0, 0, 0] = 0.5
+        joint[1, 1, 1] = 0.5
+        spec = CausalModelSpec(variant, 2, 2, 2)
+        if "z" not in model_space(spec).observed_names:
+            joint = joint.sum(axis=2)
+        observed = DiscreteDistribution(joint.shape, joint.reshape(-1))
+        res = approximate(TrivariateInputs(observed, copies), spec)
+        s = highs_support_mass(spec, observed, copies)
+        if s < 1e-12:
+            assert res.degenerate
+            return
+        assert abs(res.s_value - s) <= 1e-12
+        assert abs(res.global_error - max(0.0, -math.log(s))) <= 1e-12
+
+    def test_global_error_clamped_at_zero(self):
+        # an exact fit whose support mass rounds to 1.0000000000000002: the
+        # global error reads 0.0, not -2.2e-16
+        joint = DiscreteDistribution(
+            (3, 3), np.array([78, 103, 60, 81, 13, 320, 1, 280, 64]) / 1000
+        )
+        counts = [[59, 160, 114], [29, 214, 90], [31, 151, 151],
+                  [19, 97, 217], [190, 138, 5], [48, 145, 140]]
+        copies = tuple(
+            DiscreteDistribution((3,), np.array(c) / 333) for c in counts
+        )
+        spec = CausalModelSpec(ModelVariant.Z_CONFOUNDER_HIDDEN, 3, 3, 3)
+        res = approximate(TrivariateInputs(joint, copies), spec)
+        assert res.s_value > 1.0
+        assert res.global_error == 0.0
+        assert math.copysign(1.0, res.global_error) == 1.0
 
 
 class TestTimeLag:

@@ -93,6 +93,15 @@ class TestDiscoverCommand:
         result = run_cli("discover", str(path), "--x-col", "0", "--y-col", "1")
         assert result.returncode == 0
 
+    def test_unknown_env_label_message_is_plain(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        rows = [(0, 0, "obs"), (1, 1, "obs"), (0, 1, "do:0"), (1, 1, "do:1")]
+        write_csv(path, ["x", "y", "env"], rows * 5 + [(1, 0, "observe")])
+        result = run_cli("discover", str(path))
+        assert result.returncode != 0
+        assert "'observe'" in result.stderr
+        assert "np.str_" not in result.stderr
+
     def test_env_disabled_by_none(self, tmp_path):
         path = tmp_path / "env.csv"
         rows = [(0, 0, "weird-label")] * 4 + [(1, 1, "weird-label")] * 4
@@ -211,6 +220,22 @@ class TestApproxCommand:
         )
         assert result.returncode != 0
         assert "environment" in result.stderr
+
+    def test_trivariate_rejects_unknown_env_label(self, tmp_path):
+        # the label check is the one discover runs, not a silent drop
+        path = tmp_path / "conf.csv"
+        rows = [(z, z, z, "obs") for z in (0, 1)] * 20
+        rows += [(z, z, z, f"do:z={z}") for z in (0, 1)] * 20
+        rows += [(0, 0, 0, "observe")]
+        write_csv(path, ["x", "y", "z", "env"], rows)
+        discovered = run_cli("discover", str(path))
+        assert discovered.returncode != 0
+        for model in ("z_confounder", "z_confounder_hidden"):
+            result = run_cli(
+                "approx", str(path), "--model", model, "--z-col", "z"
+            )
+            assert result.returncode != 0
+            assert result.stderr == discovered.stderr
 
 
 class TestCliMatchesLibrary:
